@@ -1,15 +1,14 @@
-// Runtime-scheduling benchmark: sequential vs per-superstep thread spawn
-// (the pre-pool baseline) vs persistent pool vs chunked work stealing, on
-// the Table-1 dataset generators plus a deliberately skewed power-law
+// Runtime benchmark: sequential vs the work-stealing scheduler, on the
+// Table-1 dataset generators plus a deliberately skewed power-law
 // partition (range partition puts the preferential-attachment hubs on
 // worker 0, the worst case static assignment that stealing exists to fix).
 //
 // Prints a table to stdout and writes machine-readable results to
-// BENCH_runtime.json (override with argv[2]). All modes are exact-result
+// BENCH_runtime.json (override with argv[2]). Both modes are exact-result
 // equivalent (see tests/runtime_determinism_test.cc), so wall makespan is
-// the only axis. Speedups are host-dependent: on a single-core container
-// every threaded mode degenerates to sequential-plus-overhead, which the
-// JSON records honestly via hardware_concurrency.
+// the only axis. Speedups are host-dependent: on a single-core host the
+// threaded mode degenerates to sequential-plus-overhead, which the JSON
+// records honestly via hardware_concurrency.
 #include <fstream>
 #include <thread>
 
@@ -24,14 +23,11 @@ namespace {
 struct Mode {
   const char* name;
   bool use_threads;
-  Scheduling scheduling;
 };
 
 const Mode kModes[] = {
-    {"sequential", false, Scheduling::kStealing},
-    {"spawn", true, Scheduling::kSpawn},
-    {"pool", true, Scheduling::kPool},
-    {"stealing", true, Scheduling::kStealing},
+    {"sequential", false},
+    {"stealing", true},
 };
 
 struct Sample {
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
       std::max(1u, std::thread::hardware_concurrency());
   const int workers = 8;
 
-  std::printf("Runtime scheduling bench: %d logical workers, %d OS threads "
+  std::printf("Runtime bench: %d logical workers, %d OS threads "
               "(hardware), best of 3\n\n",
               workers, threads);
   JsonWriter json(2);
@@ -87,13 +83,12 @@ int main(int argc, char** argv) {
   json.Key("note").String(
       "measured on a " + std::to_string(threads) +
       "-core host with " + SimdLevelName(SimdDispatchLevel()) +
-      " warp dispatch; threaded modes need >1 core to beat sequential and "
-      "speedup keys are emitted only when hardware_concurrency >= 4");
+      " warp dispatch; stealing needs >1 core to beat sequential and the "
+      "speedup key is emitted only when hardware_concurrency >= 4");
 
   // --- Part 1: Table-1 generators, PR (always-active, compute-heavy). ---
   TextTable table;
-  table.AddRow({"Graph", "seq-ms", "spawn-ms", "pool-ms", "steal-ms",
-                "steals", "steal/spawn"});
+  table.AddRow({"Graph", "seq-ms", "steal-ms", "steals", "seq/steal"});
   json.Key("table1_pr").BeginArray();
   std::vector<bench::BenchDataset> datasets = bench::LoadCatalog(scale);
   for (size_t d = 0; d < datasets.size(); ++d) {
@@ -104,7 +99,6 @@ int main(int argc, char** argv) {
     Sample samples[std::size(kModes)];
     for (size_t i = 0; i < std::size(kModes); ++i) {
       config.use_threads = kModes[i].use_threads;
-      config.runtime.scheduling = kModes[i].scheduling;
       config.runtime.num_threads = threads;
       samples[i] = Measure([&] {
         return RunForMetrics(ds.workload, Platform::kIcm, Algorithm::kPr,
@@ -113,11 +107,9 @@ int main(int argc, char** argv) {
     }
     table.AddRow({ds.name, FormatDouble(samples[0].wall_ms, 1),
                   FormatDouble(samples[1].wall_ms, 1),
-                  FormatDouble(samples[2].wall_ms, 1),
-                  FormatDouble(samples[3].wall_ms, 1),
-                  std::to_string(samples[3].steals),
-                  FormatDouble(samples[1].wall_ms /
-                                   std::max(1e-9, samples[3].wall_ms),
+                  std::to_string(samples[1].steals),
+                  FormatDouble(samples[0].wall_ms /
+                                   std::max(1e-9, samples[1].wall_ms),
                                2)});
     json.BeginObject();
     json.Key("graph").String(ds.name);
@@ -153,9 +145,8 @@ int main(int argc, char** argv) {
     IcmOptions options;
     options.num_workers = workers;
     options.use_threads = kModes[i].use_threads;
-    options.runtime.scheduling = kModes[i].scheduling;
     options.runtime.num_threads = threads;
-    options.custom_partition = &partition;
+    options.placement = Placement::Explicit(&partition);
     samples[i] = Measure([&] {
       IcmPageRank program(g);
       return IcmEngine<IcmPageRank>::Run(g, program, PageRankOptions(options))
@@ -173,21 +164,18 @@ int main(int argc, char** argv) {
   json.Key("skewed_powerlaw_pr").BeginObject();
   json.Key("modes");
   WriteModes(&json, samples);
-  // Speedup ratios only mean something with real parallel hardware: on a
-  // 1–3 core host every threaded mode is sequential plus overhead, so the
-  // keys are omitted rather than recorded as vacuous sub-1.0 ratios.
+  // The speedup ratio only means something with real parallel hardware:
+  // on a 1–3 core host stealing is sequential plus overhead, so the key is
+  // omitted rather than recorded as a vacuous sub-1.0 ratio.
   if (threads >= 4) {
-    const double vs_spawn =
-        samples[1].wall_ms / std::max(1e-9, samples[3].wall_ms);
     const double vs_sequential =
-        samples[0].wall_ms / std::max(1e-9, samples[3].wall_ms);
-    std::printf("Stealing vs per-superstep spawn: %.2fx; vs sequential: "
-                "%.2fx (target: beats sequential on >=4 cores)\n",
-                vs_spawn, vs_sequential);
-    json.Key("speedup_stealing_vs_spawn").Fixed(vs_spawn, 2);
+        samples[0].wall_ms / std::max(1e-9, samples[1].wall_ms);
+    std::printf("Stealing vs sequential: %.2fx (target: beats sequential "
+                "on >=4 cores)\n",
+                vs_sequential);
     json.Key("speedup_stealing_vs_sequential").Fixed(vs_sequential, 2);
   } else {
-    std::printf("Speedup ratios omitted: only %d hardware core(s)\n",
+    std::printf("Speedup ratio omitted: only %d hardware core(s)\n",
                 threads);
   }
   json.EndObject();
@@ -207,7 +195,6 @@ int main(int argc, char** argv) {
     IcmOptions options;
     options.num_workers = workers;
     options.use_threads = true;
-    options.runtime.scheduling = Scheduling::kStealing;
     options.runtime.num_threads = threads;
     options.runtime.transport = kTransports[i];
     transport_ms[i] = Measure([&] {

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "engine/delivery.h"
 #include "engine/message_traits.h"
 #include "engine/parallel.h"
+#include "engine/superstep_driver.h"
 #include "graph/partitioner.h"
 #include "graph/snapshot.h"
 #include "util/timer.h"
@@ -29,7 +29,8 @@ namespace graphite {
 struct GoffishOptions {
   int num_workers = 4;
   bool use_threads = false;
-  /// OS-thread scheduling when use_threads is set (engine/parallel.h).
+  /// Threads, chunking, transport and frontier density
+  /// (engine/parallel.h).
   RuntimeOptions runtime;
   /// Process snapshots from horizon-1 down to 0 (LD's reverse traversal).
   bool reverse_time = false;
@@ -89,14 +90,12 @@ BaselineOutcome<typename Program::Value> RunGoffish(
 
   const size_t n = g.num_vertices();
   const TimePoint T = g.horizon();
-  const int num_workers = options.num_workers;
 
   // Delivery plane (engine/delivery.h): placement, flat per-worker
   // inboxes and mail tracking, shared by every snapshot's inner loop.
   DeliveryPlane<Message> plane(WorkerMap(
-      n, num_workers, options.placement,
+      n, options.num_workers, options.placement,
       [&g](uint32_t v) { return g.vertex_id(v); }));
-  plane.set_frontier_density(options.runtime.frontier_density);
 
   std::vector<Value> values(n);
   for (VertexIdx v = 0; v < n; ++v) values[v] = program.Init(v);
@@ -108,29 +107,88 @@ BaselineOutcome<typename Program::Value> RunGoffish(
   out.result.resize(n);
   const int64_t run_start = NowNanos();
 
-  // Persistent pool + fixed chunk table, shared by every snapshot's inner
+  // One driver (pool, chunk table, wire matrix) for every snapshot's inner
   // loop. Outboxes are per chunk: concatenating them in chunk order equals
   // sequential mode's per-worker outbox order exactly.
-  SuperstepRuntime rt(num_workers, options.use_threads, options.runtime,
-                      plane.map().worker_sizes());
-  plane.Bind(&rt);
-  const std::unique_ptr<Transport> transport =
-      MakeTransport(options.runtime.transport, num_workers);
-  const int num_chunks = rt.num_chunks();
-  std::vector<std::vector<Pending>> outbox(num_chunks);
-  // Same-snapshot messages travel as wire rows through the plane (the
-  // same (dst, t, payload) encoding the byte metrics always used);
-  // cross-snapshot ones stay typed in the temporal mailboxes.
-  std::vector<std::vector<Writer>> wire(num_chunks);
-  for (auto& row : wire) row.resize(num_workers);
-  std::vector<int> row_src(num_chunks);
-  for (int c = 0; c < num_chunks; ++c) row_src[c] = rt.chunk(c).worker;
-  std::vector<int64_t> chunk_calls(num_chunks, 0);
-  std::vector<int64_t> chunk_ns(num_chunks, 0);
+  SuperstepDriver<Message> driver(&plane, &out.metrics, options.use_threads,
+                                  options.runtime);
+  std::vector<std::vector<Pending>> outbox(driver.runtime().num_chunks());
+
+  struct Hooks {
+    Program& program;
+    std::vector<Value>& values;
+    DeliveryPlane<Message>& plane;
+    SuperstepDriver<Message>& driver;
+    std::vector<std::vector<Pending>>& outbox;
+    std::vector<std::vector<std::pair<VertexIdx, Message>>>& temporal;
+    const SnapshotView& view;
+    TimePoint t;
+    TimePoint horizon;
+
+    void Process(const ChunkLane& lane, VertexIdx v) {
+      GofContext<Message> ctx(lane.superstep, t, &outbox[lane.chunk]);
+      program.Compute(ctx, v, values[v], plane.MessagesFor(lane.worker, v),
+                      view);
+      ++lane.counters->compute_calls;
+    }
+    // Snapshot-live vertices only (a vertex can be mailed by a neighbor
+    // even where the snapshot excludes it); inner superstep 0 also wakes
+    // the program's InitialActive seeds.
+    bool Admit(const ChunkLane& lane, VertexIdx v) const {
+      return view.VertexActive(v) &&
+             (plane.HasMail(v) ||
+              (lane.superstep == 0 && program.InitialActive(v, t, view)));
+    }
+    // Serialize everything (bytes metric). Same-snapshot messages travel
+    // as wire rows through the plane and reappear in the next inner
+    // superstep; cross-snapshot ones are byte-counted with the identical
+    // encoding, then queued typed in the temporal mailboxes. Chunk
+    // outboxes are walked in chunk order, which is the sequential
+    // per-worker order.
+    void Stage(SuperstepMetrics* ss) {
+      Writer scratch;
+      const SuperstepRuntime& rt = driver.runtime();
+      for (int c = 0; c < rt.num_chunks(); ++c) {
+        const int src_w = rt.chunk(c).worker;
+        for (Pending& p : outbox[c]) {
+          const int dst_w = plane.map().WorkerOf(p.dst);
+          ss->messages += 1;
+          if (p.t == t) {
+            Writer& row = driver.wire_row(c)[dst_w];
+            row.WriteU64(p.dst);
+            row.WriteI64(p.t);
+            MessageTraits<Message>::Write(row, p.payload);
+            // Bytes are accounted by the plane's Route.
+            continue;
+          }
+          scratch.Clear();
+          scratch.WriteU64(p.dst);
+          scratch.WriteI64(p.t);
+          MessageTraits<Message>::Write(scratch, p.payload);
+          ss->message_bytes += static_cast<int64_t>(scratch.size());
+          if (dst_w != src_w) {
+            ss->worker_in_bytes[dst_w] += static_cast<int64_t>(scratch.size());
+          }
+          if (p.t >= 0 && p.t < horizon) {
+            temporal[static_cast<size_t>(p.t)].emplace_back(
+                p.dst, std::move(p.payload));
+          }
+          // Else: addressed beyond the horizon; counted, undeliverable.
+        }
+        outbox[c].clear();
+      }
+    }
+    void Decode(Reader& reader, int dst) {
+      const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
+      const TimePoint mt = reader.ReadI64();
+      GRAPHITE_CHECK(mt == t);
+      plane.Deliver(dst, dv, MessageTraits<Message>::Read(reader));
+    }
+  };
 
   for (TimePoint step = 0; step < T; ++step) {
     const TimePoint t = options.reverse_time ? T - 1 - step : step;
-    SnapshotView view(&g, t);
+    const SnapshotView view(&g, t);
 
     // Snapshot boundary: drop whatever the previous snapshot left sealed,
     // then seed this snapshot's inboxes from its temporal mailbox.
@@ -142,125 +200,9 @@ BaselineOutcome<typename Program::Value> RunGoffish(
     plane.SealAll();
 
     // Inner VCM loop over this snapshot.
-    for (int inner = 0;; ++inner) {
-      SuperstepMetrics ss;
-      ss.worker_compute_ns.assign(num_workers, 0);
-      ss.worker_in_bytes.assign(num_workers, 0);
-      ss.worker_compute_calls.assign(num_workers, 0);
-      std::fill(chunk_calls.begin(), chunk_calls.end(), int64_t{0});
-
-      ss.steals = rt.ComputePhase(
-          &ss.thread_compute_ns, [&](int c, const WorkChunk& chunk, int) {
-            const int64_t t0 = NowNanos();
-            GofContext<Message> ctx(inner, t, &outbox[c]);
-            const std::vector<VertexIdx>& mine =
-                plane.map().units_of(chunk.worker);
-            const auto process = [&](VertexIdx v) {
-              program.Compute(ctx, v, values[v],
-                              plane.MessagesFor(chunk.worker, v), view);
-              ++chunk_calls[c];
-            };
-            if (inner == 0 || plane.FrontierIsDense(chunk.worker)) {
-              // Dense scan: inner superstep 0 must probe InitialActive on
-              // every vertex, and over-threshold frontiers fall back here.
-              for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                const VertexIdx v = mine[i];
-                if (!view.VertexActive(v)) continue;
-                const bool active =
-                    plane.HasMail(v) ||
-                    (inner == 0 && program.InitialActive(v, t, view));
-                if (!active) continue;
-                process(v);
-              }
-            } else {
-              // Frontier path: only mailed vertices can be active past
-              // inner superstep 0. The snapshot-liveness filter still
-              // applies (a vertex can be mailed by a neighbor even where
-              // the snapshot excludes it).
-              const uint32_t lo = mine[chunk.begin];
-              const uint32_t hi = chunk.end < mine.size()
-                                      ? mine[chunk.end]
-                                      : std::numeric_limits<uint32_t>::max();
-              const std::span<const uint32_t> fs =
-                  plane.FrontierSlice(chunk.worker, lo, hi);
-              for (size_t i = 0; i < fs.size(); ++i) {
-                const uint32_t v = fs[i];
-                if (!view.VertexActive(v)) continue;
-                if (i + 1 < fs.size()) {
-                  plane.Prefetch(chunk.worker, fs[i + 1]);
-                }
-                process(v);
-              }
-            }
-            chunk_ns[c] = NowNanos() - t0;
-          });
-      for (int c = 0; c < num_chunks; ++c) {
-        const int w = rt.chunk(c).worker;
-        ss.worker_compute_ns[w] += chunk_ns[c];
-        ss.worker_compute_calls[w] += chunk_calls[c];
-        ss.compute_calls += chunk_calls[c];
-      }
-
-      const int64_t barrier_t = NowNanos();
-      plane.Barrier();
-      ss.barrier_ns = NowNanos() - barrier_t;
-
-      // Route: serialize everything (bytes metric). Same-snapshot messages
-      // travel as wire rows through the plane and reappear in the next
-      // inner superstep; cross-snapshot ones are byte-counted with the
-      // identical encoding, then queued typed in the temporal mailboxes.
-      // Chunk outboxes are walked in chunk order, which is the sequential
-      // per-worker order.
-      const int64_t msg_t = NowNanos();
-      Writer scratch;
-      for (int src_w = 0; src_w < num_workers; ++src_w) {
-        const auto [c0, c1] = rt.ChunkRange(src_w);
-        for (int c = c0; c < c1; ++c) {
-          for (Pending& p : outbox[c]) {
-            const int dst_w = plane.map().WorkerOf(p.dst);
-            if (p.t == t) {
-              Writer& row = wire[c][dst_w];
-              row.WriteU64(p.dst);
-              row.WriteI64(p.t);
-              MessageTraits<Message>::Write(row, p.payload);
-              ss.messages += 1;
-              // Bytes are accounted by plane.Route below.
-            } else {
-              scratch.Clear();
-              scratch.WriteU64(p.dst);
-              scratch.WriteI64(p.t);
-              MessageTraits<Message>::Write(scratch, p.payload);
-              ss.messages += 1;
-              ss.message_bytes += static_cast<int64_t>(scratch.size());
-              if (dst_w != src_w) {
-                ss.worker_in_bytes[dst_w] +=
-                    static_cast<int64_t>(scratch.size());
-              }
-              if (p.t >= 0 && p.t < T) {
-                temporal[static_cast<size_t>(p.t)].emplace_back(
-                    p.dst, std::move(p.payload));
-              }
-              // Else: addressed beyond the horizon; counted, undeliverable.
-            }
-          }
-          outbox[c].clear();
-        }
-      }
-      const bool any_intra = plane.Route(
-          *transport, std::span<std::vector<Writer>>(wire), row_src, &ss,
-          [&plane, t](Reader& reader, int dst) {
-            const uint32_t dv = static_cast<uint32_t>(reader.ReadU64());
-            const TimePoint mt = reader.ReadI64();
-            GRAPHITE_CHECK(mt == t);
-            plane.Deliver(dst, dv, MessageTraits<Message>::Read(reader));
-          });
-      ss.messaging_ns = NowNanos() - msg_t;
-      // The mailed lists now hold the next inner superstep's activation
-      // set (sealed by Route above); record it before it is consumed.
-      plane.CountFrontier(&ss.frontier_units, &ss.frontier_dense_workers);
-      out.metrics.Accumulate(ss);
-      if (!any_intra) break;
-    }
+    Hooks hooks{program, values, plane, driver, outbox, temporal, view, t, T};
+    driver.Run(hooks, 0, std::numeric_limits<int>::max(),
+               /*always_active=*/false);
 
     for (VertexIdx v = 0; v < n; ++v) {
       if (view.VertexActive(v)) {

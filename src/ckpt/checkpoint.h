@@ -15,11 +15,13 @@
 //                        VCM), halted/active flags, and the undelivered
 //                        inbox for superstep s+1.
 //
-// The frame layout is engine-agnostic; the engines own their section
-// encoding (they have the Program's State/Message types). DecodeFrame is
+// The frame layout is engine-agnostic: engine/superstep_driver.h builds
+// and restores frames, and the engines supply only their section encoding
+// (they have the Program's State/Message types). DecodeFrame is
 // Status-returning with byte offsets — the same DataLoss error family as
-// io/binary_format — though in practice the store's CRC rejects damage
-// before a frame is ever decoded.
+// io/binary_format. A frame that fails to decode, or describes another
+// head, unit count or worker count, is no valid checkpoint: the run starts
+// cold.
 //
 // Frame payload layout (all varints; see CheckpointStore for the
 // checksummed envelope):

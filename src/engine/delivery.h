@@ -18,7 +18,7 @@
 //
 // Determinism: Route visits rows in index order and a row's messages in
 // write order, so per-inbox arrival order — and therefore Seal's grouped
-// layout and every result byte — is independent of scheduling mode and
+// layout and every result byte — is independent of thread count and
 // transport backend (runtime_determinism_test enforces the full matrix).
 //
 // Concurrency: each destination worker's inbox, mailed list and transport
@@ -123,10 +123,10 @@ class WorkerMap {
 /// units; Chlonos passes a larger `num_units` (batch-expanded snapshot
 /// units) while routing by its vertex-level map.
 ///
-/// Lifecycle per run: construct → SuperstepRuntime(map().worker_sizes())
-/// → Bind(&rt) → per superstep { compute reads MessagesFor / HasMail →
-/// Barrier() → Route(...) } with Deliver+Seal used directly for initial
-/// seeds and checkpoint restore.
+/// Lifecycle per run (engine/superstep_driver.h runs it): construct →
+/// SuperstepRuntime(map().worker_sizes()) → Bind(&rt) → per superstep
+/// { compute reads MessagesFor / HasMail → Barrier() → Route(...) } with
+/// Deliver+Seal used directly for initial seeds and checkpoint restore.
 template <typename Item>
 class DeliveryPlane {
  public:
@@ -198,7 +198,7 @@ class DeliveryPlane {
   /// count: mailed sets larger than density * owned go dense. 0 disables
   /// the frontier path entirely; >= 1 (plus the per-worker rounding slack)
   /// never goes dense. Set before the first Seal of a superstep; the
-  /// engines plumb RuntimeOptions::frontier_density through here.
+  /// driver plumbs RuntimeOptions::frontier_density through here.
   void set_frontier_density(double density) { frontier_density_ = density; }
 
   /// Max mailed-unit count for which worker `dst` still gets a sorted
@@ -258,12 +258,12 @@ class DeliveryPlane {
     }
   }
 
-  /// The messaging phase all four engines shared: carries every filled
-  /// wire row through `transport` and decodes each destination's frames on
-  /// its own delivery lane, then Seals it. `wire[r][dst]` is row r's
-  /// buffer for destination dst and `row_src[r]` its source worker; rows
-  /// must be grouped by source worker in worker order (chunk order), which
-  /// is what makes arrival order equal sequential mode's byte for byte.
+  /// The messaging phase: carries every filled wire row through
+  /// `transport` and decodes each destination's frames on its own delivery
+  /// lane, then Seals it. `wire[r][dst]` is row r's buffer for destination
+  /// dst and `row_src[r]` its source worker; rows must be grouped by source
+  /// worker in worker order (chunk order), which is what makes arrival
+  /// order equal sequential mode's byte for byte.
   /// `decode` reads ONE message from the Reader and Delivers it (the
   /// engine's wire format lives entirely in that lambda). Accumulates
   /// message_bytes / worker_in_bytes / thread_messaging_ns into *ss;

@@ -112,16 +112,6 @@ struct RunMetrics {
   /// Same, with the default ClusterModel.
   int64_t SimulatedMakespanNs() const;
 
-  /// Back-compat convenience: model with explicit bandwidth/barrier only.
-  int64_t SimulatedMakespanNs(double network_bytes_per_sec,
-                              int64_t barrier_ns_per_superstep) const {
-    ClusterModel model;
-    model.network_bytes_per_sec = network_bytes_per_sec;
-    model.barrier_ns = barrier_ns_per_superstep;
-    model.per_message_ns = 0;
-    return SimulatedMakespanNs(model);
-  }
-
   std::string ToString() const;
 
   /// Emits the aggregate counters as a JSON object in value position

@@ -81,8 +81,14 @@ class Digest {
 
 Result<RunConfig> BuildConfig(const QueryRequest& req,
                               const ServiceOptions& options) {
+  if (req.workers < 0 || req.workers > kMaxRequestWorkers) {
+    return Status::InvalidArgument(
+        "workers must be in [0, " + std::to_string(kMaxRequestWorkers) +
+        "], got " + std::to_string(req.workers));
+  }
   RunConfig c;
-  c.num_workers = req.workers > 0 ? req.workers : options.default_workers;
+  c.num_workers = req.workers > 0 ? static_cast<int>(req.workers)
+                                  : options.default_workers;
   c.source = req.source;
   c.target = req.target;
   c.deadline = req.deadline;
@@ -91,15 +97,8 @@ Result<RunConfig> BuildConfig(const QueryRequest& req,
     c.use_threads = options.default_use_threads;
   } else if (req.mode == "sequential") {
     c.use_threads = false;
-  } else if (req.mode == "spawn") {
-    c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kSpawn;
-  } else if (req.mode == "pool") {
-    c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kPool;
   } else if (req.mode == "stealing") {
     c.use_threads = true;
-    c.runtime.scheduling = Scheduling::kStealing;
   } else {
     return Status::InvalidArgument("unknown mode: " + req.mode);
   }
@@ -540,7 +539,7 @@ Result<QueryRequest> QueryService::Parse(const std::string& line) {
   r.target = doc->GetInt("target", -1);
   r.deadline = doc->GetInt("deadline", -1);
   r.at = doc->GetInt("at", -1);
-  r.workers = static_cast<int>(doc->GetInt("workers", 0));
+  r.workers = doc->GetInt("workers", 0);
   r.mode = doc->GetString("mode");
   r.use_cache = doc->GetBool("cache", true);
   r.want_metrics = doc->GetBool("metrics", false);

@@ -39,6 +39,11 @@
 
 namespace graphite {
 
+/// Largest per-request logical worker count. Every worker gets its own
+/// inbox, arena and wire column, so the bound keeps one request from
+/// exhausting memory; requests above it get an ok:false response.
+inline constexpr int64_t kMaxRequestWorkers = 1024;
+
 /// A decoded protocol request (one JSON object per line on the wire).
 struct QueryRequest {
   int64_t id = -1;          ///< Echoed in the response.
@@ -69,8 +74,9 @@ struct QueryRequest {
   // Execution knobs (these do NOT affect the result fragment: the
   // determinism matrix pins result equality across modes, so they are
   // excluded from the cache key).
-  int workers = 0;          ///< Logical workers; 0 = service default.
-  std::string mode;         ///< "" | sequential | spawn | pool | stealing.
+  /// Logical workers; 0 = service default, at most kMaxRequestWorkers.
+  int64_t workers = 0;
+  std::string mode;         ///< "" | sequential | stealing.
   bool use_cache = true;
   bool want_metrics = false;  ///< Include full RunMetrics in the envelope.
   int64_t max_vertices = 0;   ///< Cap listed vertices; 0 = all. Part of

@@ -3,8 +3,10 @@
 // acceptance matrix — a run killed deterministically mid-superstep and
 // resumed from its latest checkpoint must produce byte-identical final
 // states and model-intrinsic counter totals versus an uninterrupted run,
-// for both engines, across worker counts and every scheduling mode; a
+// for both engines, across worker counts and thread/chunk settings; a
 // corrupted latest checkpoint must fall back to the previous valid one.
+// Frames that do not describe the run (another worker count) and commits
+// that fail must never abort it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -231,24 +233,21 @@ TEST(CheckpointPolicyTest, ModesDecideBarriers) {
 
 struct ModeSpec {
   const char* name;
-  Scheduling scheduling;
   int num_threads;
   int chunk_size;
 };
 
-// The container may expose a single core; explicit thread counts keep the
-// pool modes honest (and the matrix identical everywhere).
+// The host may expose a single core; explicit thread counts keep the
+// threaded rows honest (and the matrix identical everywhere).
 const ModeSpec kModes[] = {
-    {"spawn", Scheduling::kSpawn, 0, 64},
-    {"pool", Scheduling::kPool, 2, 64},
-    {"stealing", Scheduling::kStealing, 4, 4},
+    {"steal2", 2, 64},
+    {"stealing", 4, 4},
 };
 
 IcmOptions MakeIcmOptions(const ModeSpec& mode, int workers) {
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = true;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   return options;
@@ -327,7 +326,7 @@ TEST(CheckpointRecoveryIcmTest, KilledAndResumedMatchesUninterrupted) {
 // silently falls back to the previous valid snapshot.
 TEST(CheckpointRecoveryIcmTest, CorruptLatestFallsBackToPreviousValid) {
   const TemporalGraph g = RecoveryGraph();
-  IcmOptions options = MakeIcmOptions(kModes[2], 3);
+  IcmOptions options = MakeIcmOptions(kModes[1], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   IcmSssp baseline_program(g, g.vertex_id(0));
@@ -388,7 +387,7 @@ TEST(CheckpointRecoveryIcmTest, ResumeOnEmptyStoreIsColdStart) {
 
 TEST(CheckpointRecoveryIcmTest, ResumeFromSpecificSuperstep) {
   const TemporalGraph g = RecoveryGraph();
-  IcmOptions options = MakeIcmOptions(kModes[1], 3);
+  IcmOptions options = MakeIcmOptions(kModes[0], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   IcmSssp baseline_program(g, g.vertex_id(0));
@@ -446,6 +445,80 @@ TEST(CheckpointRecoveryIcmTest, WallClockPolicyBounds) {
   EXPECT_EQ(r3.metrics.checkpoints, 0);
 }
 
+// A frame that does not describe the run — taken with another worker
+// count, or CRC-valid but undecodable — is no valid checkpoint: the
+// resume starts cold and matches an uninterrupted run.
+TEST(CheckpointRecoveryIcmTest, MismatchedFrameStartsCold) {
+  const TemporalGraph g = RecoveryGraph();
+  IcmOptions options3 = MakeIcmOptions(kModes[1], 3);
+  options3.runtime.checkpoint = CheckpointPolicy::EveryK(1);
+  IcmOptions options7 = MakeIcmOptions(kModes[1], 7);
+
+  IcmSssp baseline_program(g, g.vertex_id(0));
+  const auto baseline =
+      IcmEngine<IcmSssp>::Run(g, baseline_program, options7);
+
+  CheckpointStore store(NewDir("icm_workers"));
+  RecoveryContext save;
+  save.store = &store;
+  IcmSssp run_program(g, g.vertex_id(0));
+  IcmEngine<IcmSssp>::Run(g, run_program, options3, save);
+  ASSERT_FALSE(store.ListCheckpoints().empty());
+
+  RecoveryContext resume;
+  resume.store = &store;
+  resume.resume = true;
+  IcmSssp resumed_program(g, g.vertex_id(0));
+  const auto resumed =
+      IcmEngine<IcmSssp>::Run(g, resumed_program, options7, resume);
+  EXPECT_EQ(resumed.metrics.resumed_from, -1);
+  ExpectSameOutcome(baseline, resumed, "3-worker frame, 7-worker resume");
+
+  CheckpointStore garbage(NewDir("icm_undecodable"));
+  ASSERT_TRUE(garbage.Commit(2, "not a checkpoint frame").ok());
+  RecoveryContext resume_garbage;
+  resume_garbage.store = &garbage;
+  resume_garbage.resume = true;
+  IcmSssp garbage_program(g, g.vertex_id(0));
+  const auto cold =
+      IcmEngine<IcmSssp>::Run(g, garbage_program, options7, resume_garbage);
+  EXPECT_EQ(cold.metrics.resumed_from, -1);
+  ExpectSameOutcome(baseline, cold, "undecodable frame");
+}
+
+/// A store whose directory cannot exist: its parent is a regular file, so
+/// every Commit fails with IoError.
+CheckpointStore UnwritableStore(const std::string& tag) {
+  const std::string file = NewDir(tag);
+  std::FILE* f = std::fopen(file.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) std::fclose(f);
+  return CheckpointStore(file + "/ckpt");
+}
+
+// A failed commit (disk full, unwritable directory) costs the run that
+// checkpoint, not the run: it completes, equals a run without
+// checkpoints, and counts no checkpoint.
+TEST(CheckpointRecoveryIcmTest, FailedCommitRunsOnWithoutCheckpoint) {
+  const TemporalGraph g = RecoveryGraph();
+  IcmOptions options = MakeIcmOptions(kModes[1], 3);
+
+  IcmSssp baseline_program(g, g.vertex_id(0));
+  const auto baseline = IcmEngine<IcmSssp>::Run(g, baseline_program, options);
+
+  CheckpointStore store = UnwritableStore("icm_unwritable");
+  ASSERT_EQ(store.Commit(1, "probe").code(), StatusCode::kIoError);
+  options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
+  RecoveryContext save;
+  save.store = &store;
+  IcmSssp program(g, g.vertex_id(0));
+  const auto got = IcmEngine<IcmSssp>::Run(g, program, options, save);
+  EXPECT_FALSE(got.metrics.interrupted);
+  EXPECT_EQ(got.metrics.checkpoints, 0);
+  EXPECT_EQ(got.metrics.checkpoint_bytes, 0);
+  ExpectSameOutcome(baseline, got, "failed-commit");
+}
+
 // --- Recovery exactness: VCM ---
 
 /// Trivial adapter: n always-existing units, partitioned by unit id.
@@ -484,7 +557,6 @@ VcmOptions MakeVcmOptions(const ModeSpec& mode, int workers) {
   VcmOptions options;
   options.num_workers = workers;
   options.use_threads = true;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   return options;
@@ -551,7 +623,7 @@ TEST(CheckpointRecoveryVcmTest, KilledAndResumedMatchesUninterrupted) {
 TEST(CheckpointRecoveryVcmTest, CorruptLatestFallsBackToPreviousValid) {
   constexpr uint32_t kUnits = 24;
   const LineAdapter adapter{kUnits};
-  VcmOptions options = MakeVcmOptions(kModes[2], 3);
+  VcmOptions options = MakeVcmOptions(kModes[1], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(2);
 
   RelayProgram baseline_program(kUnits);
@@ -578,6 +650,74 @@ TEST(CheckpointRecoveryVcmTest, CorruptLatestFallsBackToPreviousValid) {
   EXPECT_EQ(resumed.resumed_from, ckpts[ckpts.size() - 2]);
   ExpectSameVcmOutcome(baseline, baseline_values, resumed, resumed_values,
                        "vcm-corrupt-fallback");
+}
+
+TEST(CheckpointRecoveryVcmTest, MismatchedFrameStartsCold) {
+  constexpr uint32_t kUnits = 24;
+  const LineAdapter adapter{kUnits};
+  VcmOptions options3 = MakeVcmOptions(kModes[1], 3);
+  options3.runtime.checkpoint = CheckpointPolicy::EveryK(2);
+  VcmOptions options7 = MakeVcmOptions(kModes[1], 7);
+
+  RelayProgram baseline_program(kUnits);
+  std::vector<int64_t> baseline_values;
+  const RunMetrics baseline =
+      RunVcm(adapter, baseline_program, options7, &baseline_values);
+
+  CheckpointStore store(NewDir("vcm_workers"));
+  RecoveryContext save;
+  save.store = &store;
+  RelayProgram run_program(kUnits);
+  RunVcm(adapter, run_program, options3, nullptr, {}, save);
+  ASSERT_FALSE(store.ListCheckpoints().empty());
+
+  RecoveryContext resume;
+  resume.store = &store;
+  resume.resume = true;
+  RelayProgram resumed_program(kUnits);
+  std::vector<int64_t> resumed_values;
+  const RunMetrics resumed =
+      RunVcm(adapter, resumed_program, options7, &resumed_values, {}, resume);
+  EXPECT_EQ(resumed.resumed_from, -1);
+  ExpectSameVcmOutcome(baseline, baseline_values, resumed, resumed_values,
+                       "3-worker frame, 7-worker resume");
+
+  CheckpointStore garbage(NewDir("vcm_undecodable"));
+  ASSERT_TRUE(garbage.Commit(4, "not a checkpoint frame").ok());
+  RecoveryContext resume_garbage;
+  resume_garbage.store = &garbage;
+  resume_garbage.resume = true;
+  RelayProgram garbage_program(kUnits);
+  std::vector<int64_t> cold_values;
+  const RunMetrics cold = RunVcm(adapter, garbage_program, options7,
+                                 &cold_values, {}, resume_garbage);
+  EXPECT_EQ(cold.resumed_from, -1);
+  ExpectSameVcmOutcome(baseline, baseline_values, cold, cold_values,
+                       "undecodable frame");
+}
+
+TEST(CheckpointRecoveryVcmTest, FailedCommitRunsOnWithoutCheckpoint) {
+  constexpr uint32_t kUnits = 24;
+  const LineAdapter adapter{kUnits};
+  VcmOptions options = MakeVcmOptions(kModes[1], 3);
+
+  RelayProgram baseline_program(kUnits);
+  std::vector<int64_t> baseline_values;
+  const RunMetrics baseline =
+      RunVcm(adapter, baseline_program, options, &baseline_values);
+
+  CheckpointStore store = UnwritableStore("vcm_unwritable");
+  options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
+  RecoveryContext save;
+  save.store = &store;
+  RelayProgram program(kUnits);
+  std::vector<int64_t> values;
+  const RunMetrics got =
+      RunVcm(adapter, program, options, &values, {}, save);
+  EXPECT_FALSE(got.interrupted);
+  EXPECT_EQ(got.checkpoints, 0);
+  ExpectSameVcmOutcome(baseline, baseline_values, got, values,
+                       "failed-commit");
 }
 
 }  // namespace

@@ -319,16 +319,14 @@ TEST(IngestAppendTest, ReceiptMergesAcrossAppends) {
 struct ModeSpec {
   const char* name;
   bool use_threads;
-  Scheduling scheduling;
   int num_threads;
   int chunk_size;
 };
 
 const ModeSpec kModes[] = {
-    {"sequential", false, Scheduling::kStealing, 0, 64},
-    {"spawn", true, Scheduling::kSpawn, 0, 64},
-    {"pool2", true, Scheduling::kPool, 2, 64},
-    {"steal8", true, Scheduling::kStealing, 8, 4},
+    {"sequential", false, 0, 64},
+    {"steal2", true, 2, 64},
+    {"steal8", true, 8, 4},
 };
 
 const TransportKind kTransports[] = {TransportKind::kInProcess,
@@ -339,7 +337,6 @@ IcmOptions MakeOptions(const ModeSpec& mode, int workers,
   IcmOptions options;
   options.num_workers = workers;
   options.use_threads = mode.use_threads;
-  options.runtime.scheduling = mode.scheduling;
   options.runtime.num_threads = mode.num_threads;
   options.runtime.chunk_size = mode.chunk_size;
   options.runtime.transport = transport;
@@ -678,7 +675,7 @@ TEST(IngestCheckpointTest, KillAndResumeMidIncrementalIngest) {
   AppendReceipt receipt;
   ASSERT_TRUE(merged.Append(ChainExtension(), &receipt).ok());
 
-  IcmOptions options = MakeOptions(kModes[3], 3);
+  IcmOptions options = MakeOptions(kModes[2], 3);
   options.runtime.checkpoint = CheckpointPolicy::EveryK(1);
 
   const auto make_warm = [&] {

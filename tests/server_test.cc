@@ -87,7 +87,7 @@ TEST(QueryServiceTest, ResultFragmentIdenticalAcrossSchedulingModes) {
     QueryRequest req = MustParse(line);
     const std::string expected = Standalone(req, standalone_graph);
     for (const char* mode :
-         {"sequential", "spawn", "pool", "stealing"}) {
+         {"sequential", "stealing"}) {
       req.mode = mode;
       req.workers = 4;
       const std::string response = service.Execute(req);
@@ -154,6 +154,49 @@ TEST(QueryServiceTest, ErrorsBecomeErrorResponses) {
       "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"sssp\","
       "\"platform\":\"msb\"}"));
   EXPECT_NE(bad_combo.find("InvalidArgument"), std::string::npos);
+}
+
+// Execution knobs come from clients: an out-of-range worker count (one
+// that used to die in std::bad_alloc) and the retired scheduling modes
+// are ok:false responses, never a crash.
+TEST(QueryServiceTest, OutOfRangeKnobsAreErrorResponses) {
+  ServerOptions options;
+  options.scheduler.num_threads = 1;
+  Server server(options);
+  server.registry().Add("t", testutil::MakeTransitGraph());
+  Mutex mu;
+  std::vector<std::string> responses;
+  const auto ask = [&](const std::string& knob) {
+    server.HandleLine(
+        "{\"op\":\"run\",\"graph\":\"t\",\"alg\":\"bfs\",\"source\":0," +
+            knob + "}",
+        [&](std::string line) {
+          MutexLock lock(mu);
+          responses.push_back(std::move(line));
+        });
+    server.scheduler().Drain();
+    MutexLock lock(mu);
+    return responses.back();
+  };
+
+  const std::vector<std::string> bad_workers = {
+      "\"workers\":50000000", "\"workers\":-1", "\"workers\":4294967297",
+      "\"workers\":" + std::to_string(kMaxRequestWorkers + 1)};
+  for (const std::string& knob : bad_workers) {
+    const std::string response = ask(knob);
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << knob;
+    EXPECT_NE(response.find("workers must be in"), std::string::npos)
+        << response;
+  }
+  for (const std::string mode : {"spawn", "pool"}) {
+    const std::string response = ask("\"mode\":\"" + mode + "\"");
+    EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << mode;
+    EXPECT_NE(response.find("unknown mode: " + mode), std::string::npos)
+        << response;
+  }
+  const std::string bounded =
+      ask("\"workers\":" + std::to_string(kMaxRequestWorkers));
+  EXPECT_NE(bounded.find("\"ok\": true"), std::string::npos) << bounded;
 }
 
 // The acceptance scenario: >= 64 concurrent mixed requests over >= 2

@@ -165,13 +165,18 @@ TEST(MetricsTest, SimulatedMakespanUsesSlowestWorker) {
   ss.worker_compute_ns = {100, 900};
   ss.worker_in_bytes = {0, 0};
   m.Accumulate(ss);
-  // barrier cost 0, no bytes: exactly the slowest worker.
-  EXPECT_EQ(m.SimulatedMakespanNs(125e6, 0), 900);
+  // barrier and per-message cost 0, no bytes: exactly the slowest worker.
+  RunMetrics::ClusterModel model;
+  model.network_bytes_per_sec = 125e6;
+  model.per_message_ns = 0;
+  model.barrier_ns = 0;
+  EXPECT_EQ(m.SimulatedMakespanNs(model), 900);
   // Network model adds bytes/bandwidth on the busiest worker.
   RunMetrics n;
   ss.worker_in_bytes = {125, 0};  // 125 bytes at 125 B/s = 1s.
   n.Accumulate(ss);
-  EXPECT_EQ(n.SimulatedMakespanNs(125.0, 0), 900 + 1'000'000'000);
+  model.network_bytes_per_sec = 125.0;
+  EXPECT_EQ(n.SimulatedMakespanNs(model), 900 + 1'000'000'000);
 }
 
 TEST(MetricsTest, ToStringMentionsCounters) {

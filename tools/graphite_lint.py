@@ -13,9 +13,10 @@ convention, and that clang-tidy/compilers cannot express:
 
   heap    No heap-allocation expressions (new, malloc/calloc/realloc,
           free, make_unique, make_shared) in the superstep hot path:
-          src/icm/, src/vcm/, src/engine/delivery.h,
-          src/engine/flat_inbox.h. Hot-path storage is arena-backed
-          (util/arena.h); steady-state supersteps allocate nothing.
+          src/icm/, src/vcm/, src/engine/superstep_driver.h,
+          src/engine/delivery.h, src/engine/flat_inbox.h. Hot-path
+          storage is arena-backed (util/arena.h); steady-state
+          supersteps allocate nothing.
 
   vector  Every std::vector that OWNS storage in a hot-path file (member,
           local, return-by-value — not a reference/pointer parameter)
@@ -70,7 +71,8 @@ JSON_HOME = "src/util/json.cc"
 SIMD_HOME = "src/util/simd.h"
 
 # The superstep hot path (DESIGN.md §4f/§4k): arena storage only.
-HOT_FILES = ("src/engine/delivery.h", "src/engine/flat_inbox.h")
+HOT_FILES = ("src/engine/delivery.h", "src/engine/flat_inbox.h",
+             "src/engine/superstep_driver.h")
 HOT_DIRS = ("src/icm/", "src/vcm/")
 
 MUTEX_TOKEN = re.compile(
